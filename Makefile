@@ -31,11 +31,11 @@ fmt-check:
 # Recorder attached, the same per-stage metric counters — as per-Ref
 # delivery for every kernel (see internal/core/equivalence_test.go).
 # The sharded fanout is held to Tee on every kernel (including under
-# GOMAXPROCS=1), the parallel cache bank to the serial Bank, and the
-# region-sharded machine engine to the serial memory system (bit-identical
-# statistics and run-to-run determinism, including under GOMAXPROCS=1).
+# GOMAXPROCS=1), and the region-sharded machine engine to the serial
+# memory system (bit-identical statistics and run-to-run determinism,
+# including under GOMAXPROCS=1).
 equivalence:
-	$(GO) test -short -run 'TestBlockEquivalence|TestFanoutMatchesTee|TestMetricsEquivalence|TestParallelBankMatchesSerialKernels|TestShardedMachineMatchesSerial|TestShardedDeterminism|TestSamplingEquivalenceRateOne' ./internal/core/
+	$(GO) test -short -run 'TestBlockEquivalence|TestFanoutMatchesTee|TestMetricsEquivalence|TestShardedMachineMatchesSerial|TestShardedDeterminism|TestSamplingEquivalenceRateOne' ./internal/core/
 
 # Boot the real serving path (store + v1 API exactly as `wsstudy serve`
 # wires it), GET /v1/experiments and a report, assert 200 + valid JSON,

@@ -118,26 +118,6 @@ func BenchmarkAblationLRUBank(b *testing.B) {
 	b.ReportMetric(float64(len(addrs)), "refs/op")
 }
 
-// BenchmarkAblationLRUBankParallel is the same sweep through the sharded
-// ParallelBank (bit-identical counts, proven in the equivalence suite),
-// at one shard and at NumCPU shards.
-func BenchmarkAblationLRUBankParallel(b *testing.B) {
-	addrs := ablationTrace(200_000)
-	for _, w := range []int{1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bank := cache.MustParallelBank(ablationSizes(), 8, w)
-				for _, a := range addrs {
-					bank.Access(a, 8, true)
-				}
-				bank.Curve()
-				bank.Close()
-			}
-			b.ReportMetric(float64(len(addrs)), "refs/op")
-		})
-	}
-}
-
 // Reference-delivery benchmarks: the cost of moving the stream from the
 // kernel to the simulator, isolated from both. The captured LU trace is
 // recorded once and replayed through each delivery mechanism.

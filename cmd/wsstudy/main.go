@@ -20,7 +20,7 @@
 // full 256x256x113 phantom).
 //
 // serve puts the content-addressed result store behind
-// GET /v1/experiments, GET /v1/experiments/{id}/report?scale=quick|full
+// GET /v1/experiments, GET /v1/experiments/{id}/report?opt.scale=quick|full
 // and GET /v1/suite: identical requests never recompute (singleflight +
 // LRU cache, optional -store-dir persistence), saturation answers 429,
 // and SIGTERM drains in-flight runs. Combine with -listen for pprof and
@@ -53,7 +53,7 @@ func run(args []string) error {
 	quick := fs.Bool("quick", false, "shrink simulated problem sizes")
 	csvPath := fs.String("csv", "", "also write figure series as CSV to this file")
 	timeout := fs.Duration("timeout", 0, "per-experiment deadline (0 = none)")
-	machineShards := fs.Int("machine-shards", 0, "directory shards for the simulated machine (0 = serial engine; results are identical either way)")
+	machineShards := fs.Int("machine-shards", 0, "directory shards for the simulated machine (0 = chosen from the PE count: the sharded engine at 1024 PEs or more, serial below; results are identical either way)")
 	workers := fs.Int("workers", 2, "concurrent experiments for 'all'")
 	retries := fs.Int("retries", 0, "retries for transiently failing experiments in 'all'")
 	resume := fs.String("resume", "", "all: checkpoint journal path; completed cells revive, new ones append")
@@ -66,7 +66,7 @@ func run(args []string) error {
 	storeBytes := fs.Int64("store-bytes", 0, "serve: result-store byte budget (0 = default 64 MiB)")
 	storeDir := fs.String("store-dir", "", "serve: persist rendered reports in this directory")
 	sweepDir := fs.String("sweep-dir", "", "serve: sweep checkpoint-journal directory (default <store-dir>/sweeps)")
-	defaultScale := fs.String("default-scale", "quick", "serve: scale when a request has no ?scale= (quick|full)")
+	defaultScale := fs.String("default-scale", "quick", "serve: scale when a request has no opt.scale (quick|full)")
 	sweepExp := fs.String("experiment", "gridlu", "sweep: experiment to evaluate at every lattice cell")
 	var axes axisList
 	fs.Var(&axes, "axis", "sweep: one lattice axis as field=v1,v2,... (repeatable; fields: "+strings.Join(core.AxisFields(), ", ")+")")

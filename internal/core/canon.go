@@ -2,7 +2,6 @@ package core
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"strconv"
 	"strings"
@@ -10,7 +9,7 @@ import (
 
 // canonVersion tags the canonical Options encoding; bump it whenever an
 // existing encoding string could alias a semantically different new one,
-// so stale fingerprints can never collide with new configurations.
+// so stale result keys can never collide with new configurations.
 // Version 2 added the design-space axes (cache, line, assoc, pes,
 // problem), invalidating every v1 key at once. Appending a brand-new key
 // (sample, PR 9) stays within v2: old strings lack the key entirely, so
@@ -139,15 +138,6 @@ func (o *Options) SetAxis(field, value string) error {
 	}
 	return fmt.Errorf("core: unknown options axis %q (valid: %s)",
 		field, strings.Join(AxisFields(), ", "))
-}
-
-// Fingerprint returns the hex SHA-256 of the canonical encoding — the
-// stable identity the CLI, the result store, and tests all use to key a
-// configuration. Equal Options always fingerprint equally; Options that
-// differ only in non-semantic fields (Timeout) do too.
-func (o Options) Fingerprint() string {
-	sum := sha256.Sum256([]byte(o.Canonical()))
-	return hex.EncodeToString(sum[:])
 }
 
 // resultKeySchema is the schema tag frozen into ResultKey derivation.

@@ -21,18 +21,19 @@ func TestCanonicalOptions(t *testing.T) {
 	if got := (Options{Scale: ScaleQuick}).Canonical(); !strings.HasSuffix(got, ";scale=quick") {
 		t.Errorf("quick canonical = %q", got)
 	}
-	// Timeout bounds a run; it cannot change a completed report, so it
-	// must not change the key either.
+	// Timeout bounds a run and MachineShards picks an engine; neither can
+	// change a completed report, so neither may change the encoding.
 	a := Options{Scale: ScaleQuick}
-	b := Options{Scale: ScaleQuick, Timeout: 5 * time.Minute}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Errorf("Timeout changed the fingerprint: %s vs %s", a.Fingerprint(), b.Fingerprint())
+	for _, b := range []Options{
+		{Scale: ScaleQuick, Timeout: 5 * time.Minute},
+		{Scale: ScaleQuick, MachineShards: 4},
+	} {
+		if a.Canonical() != b.Canonical() {
+			t.Errorf("non-semantic field changed the canonical form: %q vs %q", a.Canonical(), b.Canonical())
+		}
 	}
-	if (Options{}).Fingerprint() == a.Fingerprint() {
-		t.Errorf("full and quick scale share a fingerprint")
-	}
-	if fp := a.Fingerprint(); len(fp) != 64 {
-		t.Errorf("fingerprint %q not 64 hex chars", fp)
+	if (Options{}).Canonical() == a.Canonical() {
+		t.Errorf("full and quick scale share a canonical form")
 	}
 }
 

@@ -396,49 +396,45 @@ func TestShardedDeterminism(t *testing.T) {
 	})
 }
 
-// bankDriver feeds a kernel's reference stream into a Bank-shaped sweep,
-// with the warmup boundary mapped to the measurement reset so the
-// mid-stream SetMeasuring path is part of the equivalence claim.
-type bankDriver struct {
-	access func(addr uint64, size uint32, read bool)
-	reset  func(on bool)
-	warm   int
-}
-
-func (d bankDriver) Ref(r trace.Ref) {
-	d.access(r.Addr, r.Size, r.Kind == trace.Read)
-}
-
-func (d bankDriver) BeginEpoch(n int) {
-	if n == d.warm && n > 0 {
-		d.reset(true)
+// TestOpenMachineShardRule pins the one rule that turns
+// Options.MachineShards into an engine: zero picks the serial engine
+// below 1024 PEs and memsys.DefaultShards() shards from there up; a
+// positive value is an explicit width at any size. The rows cover the
+// machines the benchmark workloads run on: fig6 and the gridbh cells at
+// P=4 stay serial, sharing1024 at P=1024 shards by default and honors
+// an explicit -machine-shards.
+func TestOpenMachineShardRule(t *testing.T) {
+	cases := []struct {
+		name          string
+		pes           int
+		machineShards int
+		want          int // 0 = serial engine, else the sharded width
+	}{
+		{"P=4 default is serial", 4, 0, 0},
+		{"P=1023 default is serial", 1023, 0, 0},
+		{"P=1024 default is DefaultShards", 1024, 0, memsys.DefaultShards()},
+		{"P=4 explicit width", 4, 3, 3},
+		{"P=1024 explicit width", 1024, 1, 1},
 	}
-}
-
-// TestParallelBankMatchesSerialKernels replays every kernel's stream into
-// a serial Bank and a sharded ParallelBank and demands bit-identical
-// per-capacity miss counts — the exact-LRU face of the parallel-sweep
-// guarantee.
-func TestParallelBankMatchesSerialKernels(t *testing.T) {
-	caps := []int{8, 64, 512, 4096}
-	for _, k := range equivalenceKernels() {
-		k := k
-		t.Run(k.name, func(t *testing.T) {
-			t.Parallel()
-			serial := cache.MustBank(caps, 8)
-			k.run(t, bankDriver{access: serial.Access, reset: serial.SetMeasuring, warm: k.warm})
-
-			par := cache.MustParallelBank(caps, 8, 3)
-			defer par.Close()
-			k.run(t, bankDriver{access: par.Access, reset: par.SetMeasuring, warm: k.warm})
-
-			if got, want := par.Curve(), serial.Curve(); !reflect.DeepEqual(got, want) {
-				t.Errorf("parallel bank curve diverged\nparallel: %+v\nserial:   %+v", got, want)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := openMachine(context.Background(), Options{MachineShards: tc.machineShards},
+				memsys.Config{PEs: tc.pes, LineSize: 8, CacheCapacity: 64, ProfilePE: -1})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range caps {
-				if got, want := par.Stats(i), serial.Stats(i); got != want {
-					t.Errorf("member %d stats diverged\nparallel: %+v\nserial:   %+v", i, got, want)
+			defer m.Close()
+			switch e := m.(type) {
+			case *memsys.System:
+				if tc.want != 0 {
+					t.Errorf("serial engine, want %d shards", tc.want)
 				}
+			case *memsys.Sharded:
+				if e.Shards() != tc.want {
+					t.Errorf("sharded engine at %d shards, want %d (0 = serial)", e.Shards(), tc.want)
+				}
+			default:
+				t.Fatalf("unexpected engine %T", m)
 			}
 		})
 	}

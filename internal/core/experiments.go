@@ -26,14 +26,27 @@ import (
 // octave.
 func sizesGrid() []uint64 { return workingset.LogSizes(64, 4<<20, 2) }
 
-// openMachine builds the simulated machine an experiment runs on, honoring
-// the run's -machine-shards override (zero keeps the serial engine; the
-// sharded engine is bit-identical, so results never depend on the choice),
-// and attaches run-scope observability. Callers must Close the machine —
-// it is the sharded engine's worker shutdown and failure-propagation
-// barrier — and forward a non-nil Close error into their Report.
+// shardedPEs is the machine size from which openMachine picks the
+// region-sharded engine when the run names no shard count. A directory
+// over 1024 caches is where the shard workers pay for their handoffs
+// (sharing1024 runs ~1.4x faster at 2 shards than serial on a 2-core
+// host); every smaller machine keeps the serial engine.
+const shardedPEs = 1024
+
+// openMachine builds the simulated machine an experiment runs on and
+// attaches run-scope observability. It is the one place that turns
+// Options.MachineShards into an engine: a positive value is an explicit
+// shard count; zero picks memsys.DefaultShards() shards at cfg.PEs >=
+// shardedPEs and the serial engine below. The sharded engine is
+// bit-identical to the serial one, so results never depend on the
+// choice. Callers must Close the machine — it is the sharded engine's
+// worker shutdown and failure-propagation barrier — and forward a
+// non-nil Close error into their Report.
 func openMachine(ctx context.Context, o Options, cfg memsys.Config) (memsys.Machine, error) {
 	cfg.Shards = o.MachineShards
+	if cfg.Shards == 0 && cfg.PEs >= shardedPEs {
+		cfg.Shards = memsys.DefaultShards()
+	}
 	cfg.SampleRate = o.SampleRate
 	m, err := memsys.Open(cfg)
 	if err != nil {

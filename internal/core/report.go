@@ -393,9 +393,11 @@ type Options struct {
 	// Timeout, when positive, bounds the experiment's run time. Execute
 	// derives a deadline-carrying context and maps expiry to ErrDeadline.
 	Timeout time.Duration
-	// MachineShards selects the simulated machine's engine: 0 the serial
-	// memory system, a positive count the region-sharded engine with that
-	// many directory shards. The sharded engine is bit-identical to the
+	// MachineShards selects the simulated machine's engine: a positive
+	// count is the region-sharded engine with that many directory
+	// shards; 0 chooses from the machine size (memsys.DefaultShards()
+	// shards at 1024 PEs or more, the serial engine below; see
+	// openMachine). The sharded engine is bit-identical to the
 	// serial one, so — like Timeout — this is a non-semantic knob and is
 	// deliberately excluded from Canonical(): the same experiment at any
 	// shard count shares one result key.

@@ -8,7 +8,6 @@ import (
 	"wsstudy/internal/apps/cg"
 	"wsstudy/internal/machine"
 	"wsstudy/internal/memsys"
-	"wsstudy/internal/obs"
 	"wsstudy/internal/trace"
 	"wsstudy/internal/workingset"
 )
@@ -16,12 +15,10 @@ import (
 // expSharing1024 simulates — rather than extrapolates — the paper's
 // headline 1024-PE configuration: a CG solve partitioned across 1024
 // processors with concrete per-PE caches, sweeping the line size to watch
-// communication (remote misses, invalidations) grow with grain. The serial
-// engine made this configuration intractable; the region-sharded machine
-// is what lets a directory over 1024 caches run in CI time, so this
-// experiment defaults to the sharded engine even when the run doesn't ask
-// for one. Every statistic is engine-independent (the equivalence gate),
-// so the default is a speed choice, not a semantic one.
+// communication (remote misses, invalidations) grow with grain. At P=1024
+// openMachine picks the region-sharded engine unless the run names a
+// shard count. Every statistic is engine-independent (the equivalence
+// gate), so the engine is a speed choice, not a semantic one.
 func expSharing1024() Experiment {
 	return Experiment{
 		ID:    "sharing1024",
@@ -52,19 +49,14 @@ func expSharing1024() Experiment {
 			measuredFLOPs := float64(iters-warm) * 20 * float64(n) * float64(n)
 
 			for _, ls := range lineSizes {
-				cfg := memsys.Config{
+				sys, err := openMachine(ctx, o, memsys.Config{
 					PEs: p, LineSize: ls, Dist: memsys.Interleaved,
 					CacheCapacity: int(cacheBytes / ls), ProfilePE: -1,
 					WarmupEpochs: warm,
+				})
+				if err != nil {
+					return nil, err
 				}
-				if o.MachineShards == 0 {
-					cfg.Shards = memsys.DefaultShards()
-				} else {
-					cfg.Shards = o.MachineShards
-				}
-				sys := memsys.MustOpen(cfg)
-				sys.Instrument(obs.From(ctx))
-
 				part, err := cg.NewPartition2D(n, px, p/px, nil)
 				if err != nil {
 					sys.Close()

@@ -312,12 +312,14 @@ feed:
 // transiently classified failures (and retryable typed errors — trace
 // corruption, capture replay loss) back off and re-attempt up to
 // opt.Retries extra times.
-func runOne(ctx context.Context, e Experiment, opt SuiteOptions, backoff time.Duration) SuiteResult {
+func runOne(ctx context.Context, e Experiment, opt SuiteOptions, backoff time.Duration) (res SuiteResult) {
 	rec := obs.From(ctx)
 	busy := rec.Gauge(obs.WorkersBusy)
 	busy.Add(1)
-	res := SuiteResult{ID: e.ID, Title: e.Title}
+	res = SuiteResult{ID: e.ID, Title: e.Title}
 	start := time.Now()
+	// res is the named result, so the deferred Elapsed lands in the
+	// value the caller receives.
 	defer func() {
 		res.Elapsed = time.Since(start)
 		busy.Add(-1)

@@ -105,6 +105,16 @@ func TestSuiteGracefulDegradation(t *testing.T) {
 	if report.Results[0].Report == nil || report.Results[3].Report == nil {
 		t.Fatal("healthy experiments lost their reports")
 	}
+	// Elapsed is each run's wall time: nonzero for a completed run, and
+	// at least the timeout for the run that hit its deadline.
+	for _, i := range []int{0, 3} {
+		if report.Results[i].Elapsed <= 0 {
+			t.Errorf("%s Elapsed = %v, want > 0", report.Results[i].ID, report.Results[i].Elapsed)
+		}
+	}
+	if got := report.Results[2].Elapsed; got < 30*time.Millisecond {
+		t.Errorf("deadline run Elapsed = %v, want >= 30ms", got)
+	}
 	var pe *PanicError
 	if !errors.As(report.Results[1].Err, &pe) || pe.Stack == "" {
 		t.Fatalf("panic result = %v, want *PanicError with stack", report.Results[1].Err)

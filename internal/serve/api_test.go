@@ -44,28 +44,37 @@ func decodeEnvelope(t *testing.T, resp *http.Response) envelope {
 
 // TestErrorEnvelopeEverywhere sweeps the failure surface: every error —
 // including the mux-level 404 and 405 that ServeMux would answer in
-// text — must come back as the one JSON envelope.
+// text — must come back as the one JSON envelope. The sweeps rows run
+// against a server with a sweep engine, the rest against one without.
 func TestErrorEnvelopeEverywhere(t *testing.T) {
 	var execs atomic.Int64
 	_, hs := newTestServer(t, store.Config{}, testRegistry(&execs, nil, nil), nil)
+	sweepHS, _ := newSweepServer(t, nil, t.TempDir())
 
 	cases := []struct {
 		name   string
+		sweeps bool
 		method string
 		path   string
 		want   int
 	}{
-		{"catch-all 404", http.MethodGet, "/nope", http.StatusNotFound},
-		{"unknown experiment", http.MethodGet, "/v1/experiments/bogus/report", http.StatusNotFound},
-		{"method not allowed", http.MethodPost, "/v1/experiments", http.StatusMethodNotAllowed},
-		{"unknown parameter", http.MethodGet, "/v1/experiments/inst/report?speed=fast", http.StatusBadRequest},
-		{"repeated parameter", http.MethodGet, "/v1/experiments/inst/report?opt.scale=quick&opt.scale=full", http.StatusBadRequest},
-		{"bad axis value", http.MethodGet, "/v1/experiments/inst/report?opt.cache=lots", http.StatusBadRequest},
-		{"sweep unconfigured", http.MethodGet, "/v1/sweeps", http.StatusServiceUnavailable},
+		{"catch-all 404", false, http.MethodGet, "/nope", http.StatusNotFound},
+		{"unknown experiment", false, http.MethodGet, "/v1/experiments/bogus/report", http.StatusNotFound},
+		{"method not allowed", false, http.MethodPost, "/v1/experiments", http.StatusMethodNotAllowed},
+		{"unknown parameter", false, http.MethodGet, "/v1/experiments/inst/report?speed=fast", http.StatusBadRequest},
+		{"repeated parameter", false, http.MethodGet, "/v1/experiments/inst/report?opt.scale=quick&opt.scale=full", http.StatusBadRequest},
+		{"bad axis value", false, http.MethodGet, "/v1/experiments/inst/report?opt.cache=lots", http.StatusBadRequest},
+		{"bare scale on report", false, http.MethodGet, "/v1/experiments/inst/report?scale=quick", http.StatusBadRequest},
+		{"sweep unconfigured", false, http.MethodGet, "/v1/sweeps", http.StatusServiceUnavailable},
+		{"bare scale on sweeps", true, http.MethodGet, "/v1/sweeps?scale=quick", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			req, err := http.NewRequest(tc.method, hs.URL+tc.path, nil)
+			base := hs.URL
+			if tc.sweeps {
+				base = sweepHS.URL
+			}
+			req, err := http.NewRequest(tc.method, base+tc.path, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,43 +121,6 @@ func TestHeadRidesGet(t *testing.T) {
 			t.Errorf("HEAD %s answered without an ETag", path)
 		}
 	}
-}
-
-// TestDeprecatedBareScale pins the ?scale= migration path: the bare
-// parameter still works but carries Deprecation and Sunset headers and
-// counts on serve.deprecated; the replacement ?opt.scale= is silent;
-// sending both is a conflict.
-func TestDeprecatedBareScale(t *testing.T) {
-	var execs atomic.Int64
-	rec := obs.New()
-	_, hs := newTestServer(t, store.Config{}, testRegistry(&execs, nil, nil), rec)
-
-	resp := get(t, hs.URL+"/v1/experiments/inst/report?scale=quick", nil)
-	body(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("bare scale status = %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") == "" || resp.Header.Get("Sunset") == "" {
-		t.Errorf("bare ?scale= answered without Deprecation/Sunset headers: %v", resp.Header)
-	}
-	if got := rec.Snapshot().Counter(obs.ServeDeprecated); got != 1 {
-		t.Errorf("%s = %d, want 1", obs.ServeDeprecated, got)
-	}
-
-	resp = get(t, hs.URL+"/v1/experiments/inst/report?opt.scale=quick", nil)
-	body(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("opt.scale status = %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "" || resp.Header.Get("Sunset") != "" {
-		t.Error("opt.scale= wrongly marked deprecated")
-	}
-
-	resp = get(t, hs.URL+"/v1/experiments/inst/report?scale=quick&opt.scale=full", nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("conflicting scales status = %d, want 400", resp.StatusCode)
-	}
-	decodeEnvelope(t, resp)
 }
 
 // TestSuiteETagConditional: the suite document carries a strong ETag

@@ -63,8 +63,8 @@ import (
 //
 // The checksum covers the uncompressed bytes, so it detects both storage
 // damage and a decompressor disagreement. Replay reads all three
-// versions; NewWriter emits WST2, NewCompressedWriter emits WST3 (use
-// NewWriterV1 only to produce legacy streams for compatibility testing).
+// versions; NewWriter emits WST2, NewCompressedWriter emits WST3. Nothing
+// writes WST1 any more; its reader stays for old captures.
 
 var (
 	magicV1 = [4]byte{'W', 'S', 'T', '1'}
@@ -128,7 +128,6 @@ func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 // truncates the trace silently.
 type Writer struct {
 	w        *bufio.Writer
-	v1       bool
 	compress bool          // WST3: DEFLATE each sealed chunk payload
 	fw       *flate.Writer // reused across chunks (compress only)
 	comp     bytes.Buffer  // compressed payload scratch (compress only)
@@ -151,11 +150,6 @@ func NewWriter(w io.Writer) (*Writer, error) { return newWriter(w, magicV2) }
 // Replay decodes it transparently.
 func NewCompressedWriter(w io.Writer) (*Writer, error) { return newWriter(w, magicV3) }
 
-// NewWriterV1 starts a legacy WST1 trace on w. The legacy format has no
-// integrity framing; it exists so compatibility with old traces stays
-// testable. New captures should use NewWriter.
-func NewWriterV1(w io.Writer) (*Writer, error) { return newWriter(w, magicV1) }
-
 func newWriter(w io.Writer, magic [4]byte) (*Writer, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.Write(magic[:]); err != nil {
@@ -163,7 +157,6 @@ func newWriter(w io.Writer, magic [4]byte) (*Writer, error) {
 	}
 	t := &Writer{
 		w:        bw,
-		v1:       magic == magicV1,
 		compress: magic == magicV3,
 		lastAddr: make(map[int]uint64),
 		curPE:    -1,
@@ -274,7 +267,7 @@ func (t *Writer) Flush() error {
 	if t.err != nil {
 		return t.err
 	}
-	if !t.v1 && !t.finished {
+	if !t.finished {
 		t.sealChunk()
 		var zero [4]byte
 		if _, err := t.w.Write(zero[:]); err != nil {
@@ -289,32 +282,13 @@ func (t *Writer) Flush() error {
 	return t.err
 }
 
-// appendByte and appendUvarint buffer into the pending chunk (WST2) or
-// write through (WST1).
-func (t *Writer) appendByte(b byte) {
-	if t.v1 {
-		if err := t.w.WriteByte(b); err != nil {
-			t.err = err
-		}
-		return
-	}
-	t.chunk = append(t.chunk, b)
-}
+// appendByte and appendUvarint buffer into the pending chunk.
+func (t *Writer) appendByte(b byte) { t.chunk = append(t.chunk, b) }
 
-func (t *Writer) appendUvarint(v uint64) {
-	if t.v1 {
-		var buf [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(buf[:], v)
-		if _, err := t.w.Write(buf[:n]); err != nil {
-			t.err = err
-		}
-		return
-	}
-	t.chunk = binary.AppendUvarint(t.chunk, v)
-}
+func (t *Writer) appendUvarint(v uint64) { t.chunk = binary.AppendUvarint(t.chunk, v) }
 
 func (t *Writer) maybeSealChunk() {
-	if !t.v1 && len(t.chunk) >= chunkTarget {
+	if len(t.chunk) >= chunkTarget {
 		t.sealChunk()
 	}
 }

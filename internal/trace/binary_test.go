@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -279,24 +280,26 @@ func TestReplayBitFlipV2(t *testing.T) {
 	}
 }
 
+// wst1Fixture is a legacy WST1 stream of BeginEpoch(0) followed by
+// genRefs(3000), written by the retired WST1 writer and checked in so the
+// reader stays tested against real legacy bytes.
+const wst1Fixture = "testdata/wst1-3000.trace"
+
+func readWST1Fixture(tb testing.TB) []byte {
+	tb.Helper()
+	enc, err := os.ReadFile(wst1Fixture)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !bytes.HasPrefix(enc, []byte("WST1")) {
+		tb.Fatalf("%s has magic %q, want WST1", wst1Fixture, enc[:4])
+	}
+	return enc
+}
+
 func TestReplayV1Compat(t *testing.T) {
 	in := genRefs(3000)
-	var buf bytes.Buffer
-	w, err := NewWriterV1(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.BeginEpoch(0)
-	for _, r := range in {
-		w.Ref(r)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	enc := buf.Bytes()
-	if !bytes.HasPrefix(enc, []byte("WST1")) {
-		t.Fatalf("legacy writer produced magic %q", enc[:4])
-	}
+	enc := readWST1Fixture(t)
 
 	var out collect
 	n, err := Replay(bytes.NewReader(enc), &out)
@@ -305,6 +308,9 @@ func TestReplayV1Compat(t *testing.T) {
 	}
 	if n != uint64(len(in)) {
 		t.Fatalf("replayed %d refs, want %d", n, len(in))
+	}
+	if len(out.epochs) != 1 || out.epochs[0] != 0 {
+		t.Fatalf("epochs = %v, want [0]", out.epochs)
 	}
 	for i := range in {
 		if out.refs[i] != in[i] {
@@ -373,17 +379,12 @@ func FuzzReplay(f *testing.F) {
 	flipped[v2.Len()/2] ^= 0x40
 	f.Add(flipped)
 	// Valid WST1.
-	var v1 bytes.Buffer
-	w1, _ := NewWriterV1(&v1)
-	for i := 0; i < 300; i++ {
-		w1.Ref(Ref{PE: i % 4, Addr: uint64(i) * 16, Size: 8, Kind: Kind(i % 2)})
-	}
-	w1.Flush()
-	f.Add(v1.Bytes())
+	v1 := readWST1Fixture(f)
+	f.Add(v1)
 	// Truncated and bit-flipped WST1.
-	f.Add(v1.Bytes()[:v1.Len()-2])
-	flipped1 := append([]byte(nil), v1.Bytes()...)
-	flipped1[v1.Len()/3] ^= 0x04
+	f.Add(v1[:len(v1)-2])
+	flipped1 := append([]byte(nil), v1...)
+	flipped1[len(v1)/3] ^= 0x04
 	f.Add(flipped1)
 	// Degenerate inputs.
 	f.Add([]byte{})

@@ -176,14 +176,6 @@ func NewFanout(consumers ...Consumer) (*Fanout, error) {
 	return NewFanoutConfig(FanoutConfig{}, consumers...)
 }
 
-// NewFanoutDepth is NewFanout with an explicit per-worker ring capacity.
-func NewFanoutDepth(depth int, consumers ...Consumer) (*Fanout, error) {
-	if depth <= 0 {
-		return nil, fmt.Errorf("%w: fanout depth %d must be positive", ErrInvalidConfig, depth)
-	}
-	return NewFanoutConfig(FanoutConfig{Ring: depth}, consumers...)
-}
-
 // NewFanoutConfig starts a sharded fanout: cfg.Workers shard goroutines,
 // each with its own ring, with consumer i pinned to worker i mod Workers.
 func NewFanoutConfig(cfg FanoutConfig, consumers ...Consumer) (*Fanout, error) {

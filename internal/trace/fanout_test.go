@@ -77,7 +77,7 @@ func TestFanoutEquivalentToTee(t *testing.T) {
 	emitScript(b1)
 
 	fanA, fanB := &lockedRec{}, &lockedRec{}
-	fan, err := NewFanoutDepth(2, fanA, fanB)
+	fan, err := NewFanoutConfig(FanoutConfig{Ring: 2}, fanA, fanB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestFanoutErrorPropagation(t *testing.T) {
 	stopErr := errors.New("budget exhausted")
 	bad := &failAfter{n: 1, err: stopErr}
 	good := &lockedRec{}
-	fan, err := NewFanoutDepth(1, bad, good)
+	fan, err := NewFanoutConfig(FanoutConfig{Ring: 1}, bad, good)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestFanoutInvalidConfig(t *testing.T) {
 	if _, err := NewFanout(Discard, nil); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("nil consumer: err = %v, want ErrInvalidConfig", err)
 	}
-	if _, err := NewFanoutDepth(0, Discard); !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("zero depth: err = %v, want ErrInvalidConfig", err)
+	if _, err := NewFanoutConfig(FanoutConfig{Ring: -1}, Discard); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("negative ring: err = %v, want ErrInvalidConfig", err)
 	}
 }
