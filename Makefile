@@ -33,9 +33,11 @@ fmt-check:
 # The sharded fanout is held to Tee on every kernel (including under
 # GOMAXPROCS=1), and the region-sharded machine engine to the serial
 # memory system (bit-identical statistics and run-to-run determinism,
-# including under GOMAXPROCS=1).
+# including under GOMAXPROCS=1). The line-table directory and stack
+# profiler are held to the hash-map implementations they replaced, kept as
+# oracles in the tests (internal/coherence and internal/cache oracle_test.go).
 equivalence:
-	$(GO) test -short -run 'TestBlockEquivalence|TestFanoutMatchesTee|TestMetricsEquivalence|TestShardedMachineMatchesSerial|TestShardedDeterminism|TestSamplingEquivalenceRateOne' ./internal/core/
+	$(GO) test -short -run 'TestBlockEquivalence|TestFanoutMatchesTee|TestMetricsEquivalence|TestShardedMachineMatchesSerial|TestShardedDeterminism|TestSamplingEquivalenceRateOne|TestDirectoryMatchesMapOracle|TestStackProfilerMatchesMapOracle' ./internal/core/ ./internal/coherence/ ./internal/cache/
 
 # Boot the real serving path (store + v1 API exactly as `wsstudy serve`
 # wires it), GET /v1/experiments and a report, assert 200 + valid JSON,
@@ -80,9 +82,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Longer-running decoder fuzz (30s), as used in CI's extended job.
+# Longer-running fuzz (30s each), as used in CI's extended job: the trace
+# decoder, and the line table against a map model.
 fuzz:
 	$(GO) test -fuzz=FuzzReplay -fuzztime=30s ./internal/trace/
+	$(GO) test -fuzz=FuzzLineTable -fuzztime=30s ./internal/linetab/
 
 # Delivery, sweep-engine, and serving-tier benchmarks (ring lookup,
 # warm peer-fill, wsload cached-RPS and overload shedding); results are

@@ -273,6 +273,27 @@ func TestFenwick(t *testing.T) {
 	}
 }
 
+// TestFenwickFill holds the O(n) post-compaction build to the tree k unit
+// adds would produce, over sizes that shrink, grow and reuse storage.
+func TestFenwickFill(t *testing.T) {
+	f := newFenwick(8)
+	for _, c := range []struct{ n, k int }{{8, 0}, {8, 8}, {16, 5}, {64, 33}, {32, 32}, {128, 1}, {16, 15}} {
+		f.fill(c.n, c.k)
+		want := newFenwick(c.n)
+		for i := 1; i <= c.k; i++ {
+			want.add(i, 1)
+		}
+		if f.size() != c.n {
+			t.Fatalf("fill(%d, %d): size %d", c.n, c.k, f.size())
+		}
+		for i := 1; i <= c.n; i++ {
+			if f.tree[i] != want.tree[i] {
+				t.Fatalf("fill(%d, %d): node %d = %d, want %d", c.n, c.k, i, f.tree[i], want.tree[i])
+			}
+		}
+	}
+}
+
 // TestStackProfilerMatchesLRU is the load-bearing correctness property:
 // without invalidations, Mattson's theorem says the single-pass profiler
 // must report exactly the miss counts of independent LRU simulations at
@@ -582,4 +603,44 @@ func TestWritebackDirtyPropagatesOnHit(t *testing.T) {
 	if c.Stats().Writebacks != 1 {
 		t.Fatalf("writebacks = %d, want 1", c.Stats().Writebacks)
 	}
+}
+
+// TestStackProfilerCompactionPhantom records a known defect without fixing
+// it: the profiler is not Mattson-exact across compactions. When a hit is
+// the access that triggers compaction, the line's old slot survives the
+// renumbering as a phantom position (see StackProfiler's Exactness note),
+// so until the next compaction reuse distances that span it read one too
+// long. The reproducer — 300k reads, seed 1, each drawn with equal odds
+// from lines [0, 50) or lines [0, 4000) — over-counts exact LRU by one miss
+// at 64 lines and two at 3000. The phantom can only lengthen distances, so
+// the profiler must never report fewer misses than LRU; the excess is
+// logged, not pinned, because fixing it changes the pinned report digests.
+func TestStackProfilerCompactionPhantom(t *testing.T) {
+	capacities := []int{16, 50, 64, 256, 1024, 3000, 4000}
+	p := MustStackProfiler(8)
+	bank := MustBank(capacities, 8)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 300_000; i++ {
+		var addr uint64
+		if rng.Intn(2) == 0 {
+			addr = uint64(rng.Intn(50)) * 8
+		} else {
+			addr = uint64(rng.Intn(4000)) * 8
+		}
+		p.Access(addr, 8, true)
+		bank.Access(addr, 8, true)
+	}
+	excess := 0
+	for i, c := range capacities {
+		got := p.MissesAt(c).ReadMisses
+		want := bank.Stats(i).ReadMisses
+		if got < want {
+			t.Errorf("capacity %d: profiler %d misses, exact LRU %d: the phantom can only add misses", c, got, want)
+		}
+		if got != want {
+			excess++
+			t.Logf("capacity %d lines: profiler %d misses vs exact LRU %d (+%d, compaction phantom)", c, got, want, got-want)
+		}
+	}
+	t.Logf("%d of %d capacities over-count", excess, len(capacities))
 }

@@ -11,17 +11,21 @@ func newFenwick(n int) *fenwick {
 	return &fenwick{tree: make([]int, n+1)}
 }
 
-// reset re-dimensions the tree to n positions, all zero, reusing the
-// existing storage when it is large enough. The profiler compacts every
-// ~size references at steady state; without reuse each compaction
+// fill re-dimensions the tree to n positions with positions [1, k] set to
+// one and the rest zero — the stack right after a compaction — in one O(n)
+// pass (node i covers positions (i-lowbit(i), i]). It reuses the existing
+// storage when it is large enough: the profiler compacts every ~size
+// references at steady state, and without reuse each compaction
 // reallocates a half-megabyte tree.
-func (f *fenwick) reset(n int) {
+func (f *fenwick) fill(n, k int) {
 	if cap(f.tree) >= n+1 {
 		f.tree = f.tree[:n+1]
-		clear(f.tree)
-		return
+	} else {
+		f.tree = make([]int, n+1)
 	}
-	f.tree = make([]int, n+1)
+	for i := 1; i < len(f.tree); i++ {
+		f.tree[i] = max(0, min(i, k)-(i-i&(-i)))
+	}
 }
 
 // size reports the number of positions.

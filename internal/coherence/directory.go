@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"wsstudy/internal/linetab"
 	"wsstudy/internal/obs"
 )
 
@@ -29,24 +30,21 @@ var ErrInvalidConfig = errors.New("coherence: invalid configuration")
 // count. At P=1024 the old eager bit vector cost 128 B per line before a
 // single sharer existed — the inline form is what keeps a paper-scale
 // directory resident.
+//
+// The zero PESet is empty. The set does not store its id bound: Add takes
+// it, so the zero value is the directory's absent-line state and a line
+// table needs no per-line constructor.
 type PESet struct {
 	// s0 and s1 are the inline slots, storing pe+1 so zero means empty.
 	s0, s1 uint32
-	// n is the id bound [0, n) the spill vector must cover.
-	n int32
 	// words is the spilled bit vector; nil while the set is inline.
 	words []uint64
 }
 
-// NewPESet returns an empty set able to hold ids in [0, n).
-func NewPESet(n int) PESet {
-	return PESet{n: int32(n)}
-}
-
-// spill converts the inline representation to the bit vector, preserving
-// the current members.
-func (s *PESet) spill() {
-	s.words = make([]uint64, (int(s.n)+63)/64)
+// spill converts the inline representation to a bit vector covering ids
+// [0, n), preserving the current members.
+func (s *PESet) spill(n int) {
+	s.words = make([]uint64, (n+63)/64)
 	for _, v := range [2]uint32{s.s0, s.s1} {
 		if v != 0 {
 			pe := int(v - 1)
@@ -56,8 +54,9 @@ func (s *PESet) spill() {
 	s.s0, s.s1 = 0, 0
 }
 
-// Add inserts pe into the set.
-func (s *PESet) Add(pe int) {
+// Add inserts pe into the set; n is the id bound [0, n) a spilled bit
+// vector must cover, so every member must be below it.
+func (s *PESet) Add(pe, n int) {
 	if s.words != nil {
 		s.words[pe>>6] |= 1 << (uint(pe) & 63)
 		return
@@ -74,7 +73,7 @@ func (s *PESet) Add(pe int) {
 		s.s1 = v
 		return
 	}
-	s.spill()
+	s.spill(n)
 	s.words[pe>>6] |= 1 << (uint(pe) & 63)
 }
 
@@ -153,10 +152,12 @@ func (s *PESet) ForEach(f func(pe int)) {
 
 // lineState is the per-line directory entry. A line is Modified when dirty
 // holds; otherwise it is Shared by everyone in sharers (possibly nobody).
+// The zero lineState is a line no processor has touched, which is how the
+// line table represents absence.
 type lineState struct {
 	sharers PESet
+	owner   int32
 	dirty   bool
-	owner   int
 }
 
 // Invalidator receives invalidation messages for a processor's cache.
@@ -181,7 +182,7 @@ type Directory struct {
 	numPEs   int
 	lineSize uint32
 	shift    uint // log2(lineSize), precomputed once
-	lines    map[uint64]*lineState
+	lines    linetab.Table[lineState]
 	caches   []Invalidator
 	stats    Stats
 
@@ -251,7 +252,6 @@ func NewDirectory(numPEs int, lineSize uint32, caches []Invalidator) (*Directory
 		numPEs:   numPEs,
 		lineSize: lineSize,
 		shift:    shift,
-		lines:    make(map[uint64]*lineState),
 		caches:   caches,
 	}, nil
 }
@@ -264,15 +264,6 @@ func MustDirectory(numPEs int, lineSize uint32, caches []Invalidator) *Directory
 		panic(err)
 	}
 	return d
-}
-
-func (d *Directory) entry(line uint64) *lineState {
-	e, ok := d.lines[line]
-	if !ok {
-		e = &lineState{sharers: NewPESet(d.numPEs)}
-		d.lines[line] = e
-	}
-	return e
 }
 
 // Read registers a read of the line containing addr by pe. A dirty copy
@@ -288,13 +279,13 @@ func (d *Directory) Read(pe int, addr uint64) {
 func (d *Directory) ReadLine(pe int, line uint64) {
 	d.stats.ReadRequests++
 	d.mReads.Inc()
-	e := d.entry(line)
-	if e.dirty && e.owner != pe {
+	e := d.lines.Ptr(line)
+	if e.dirty && int(e.owner) != pe {
 		e.dirty = false
 		d.stats.Downgrades++
 		d.mDowngrades.Inc()
 	}
-	e.sharers.Add(pe)
+	e.sharers.Add(pe, d.numPEs)
 }
 
 // Write registers a write of the line containing addr by pe, invalidating
@@ -310,7 +301,7 @@ func (d *Directory) Write(pe int, addr uint64) {
 func (d *Directory) WriteLine(pe int, line uint64) {
 	d.stats.WriteRequests++
 	d.mWrites.Inc()
-	e := d.entry(line)
+	e := d.lines.Ptr(line)
 	addr := line << d.shift
 	invalidated := false
 	e.sharers.ForEach(func(other int) {
@@ -329,24 +320,20 @@ func (d *Directory) WriteLine(pe int, line uint64) {
 		d.mInvalWrites.Inc()
 	}
 	e.sharers.Clear()
-	e.sharers.Add(pe)
+	e.sharers.Add(pe, d.numPEs)
 	e.dirty = true
-	e.owner = pe
+	e.owner = int32(pe)
 }
 
 // Sharers reports how many processors hold the line containing addr.
 func (d *Directory) Sharers(addr uint64) int {
-	e, ok := d.lines[addr>>d.shift]
-	if !ok {
-		return 0
-	}
+	e := d.lines.Get(addr >> d.shift)
 	return e.sharers.Len()
 }
 
 // IsDirty reports whether the line containing addr is held modified.
 func (d *Directory) IsDirty(addr uint64) bool {
-	e, ok := d.lines[addr>>d.shift]
-	return ok && e.dirty
+	return d.lines.Get(addr >> d.shift).dirty
 }
 
 // Stats returns the accumulated protocol statistics.

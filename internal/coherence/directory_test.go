@@ -10,9 +10,9 @@ import (
 )
 
 func TestPESetBasics(t *testing.T) {
-	s := NewPESet(130)
+	var s PESet
 	for _, pe := range []int{0, 63, 64, 129} {
-		s.Add(pe)
+		s.Add(pe, 130)
 	}
 	if s.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", s.Len())
@@ -44,12 +44,12 @@ func TestPESetBasics(t *testing.T) {
 func TestPESetMatchesMap(t *testing.T) {
 	// Property: PESet behaves like a map[int]bool under random ops.
 	check := func(ops []uint8) bool {
-		s := NewPESet(64)
+		var s PESet
 		ref := map[int]bool{}
 		for _, op := range ops {
 			pe := int(op % 64)
 			if op&0x80 != 0 {
-				s.Add(pe)
+				s.Add(pe, 64)
 				ref[pe] = true
 			} else {
 				s.Remove(pe)
@@ -84,9 +84,9 @@ func TestPESetInlineAllocation(t *testing.T) {
 	const p = 1024
 
 	oneOrTwo := testing.AllocsPerRun(100, func() {
-		s := NewPESet(p)
-		s.Add(7)
-		s.Add(901)
+		var s PESet
+		s.Add(7, p)
+		s.Add(901, p)
 		if s.Len() != 2 {
 			t.Fatal("wrong Len")
 		}
@@ -96,11 +96,11 @@ func TestPESetInlineAllocation(t *testing.T) {
 	}
 
 	spilled := testing.AllocsPerRun(100, func() {
-		s := NewPESet(p)
-		s.Add(7)
-		s.Add(901)
-		s.Add(333) // third distinct member: spill to the bit vector
-		s.Add(12)
+		var s PESet
+		s.Add(7, p)
+		s.Add(901, p)
+		s.Add(333, p) // third distinct member: spill to the bit vector
+		s.Add(12, p)
 		if s.Len() != 4 {
 			t.Fatal("wrong Len after spill")
 		}
@@ -111,12 +111,12 @@ func TestPESetInlineAllocation(t *testing.T) {
 
 	// Clear returns to inline: a retaken line allocates nothing again.
 	retaken := testing.AllocsPerRun(100, func() {
-		s := NewPESet(p)
-		s.Add(1)
-		s.Add(2)
-		s.Add(3)
+		var s PESet
+		s.Add(1, p)
+		s.Add(2, p)
+		s.Add(3, p)
 		s.Clear()
-		s.Add(4)
+		s.Add(4, p)
 		if s.Len() != 1 {
 			t.Fatal("wrong Len after clear")
 		}
@@ -132,7 +132,7 @@ func TestPESetInlineAllocation(t *testing.T) {
 func TestPESetSpilledMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const p = 257 // odd, >4 words, exercises the last partial word
-	s := NewPESet(p)
+	var s PESet
 	ref := map[int]bool{}
 	for i := 0; i < 20000; i++ {
 		pe := rng.Intn(p)
@@ -146,7 +146,7 @@ func TestPESetSpilledMatchesMap(t *testing.T) {
 				ref = map[int]bool{}
 			}
 		default:
-			s.Add(pe)
+			s.Add(pe, p)
 			ref[pe] = true
 		}
 		if s.Len() != len(ref) {

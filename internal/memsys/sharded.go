@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -146,12 +145,12 @@ type dirWorker struct {
 // cacheWorker owns the caches/profilers of the PEs mapped to it (pe % V)
 // and accumulates their measured miss classification.
 type cacheWorker struct {
-	id      int
-	ring    *spsc.Ring[*opBlock]
-	scratch []shardEvent
-	local   uint64
-	remote  uint64
-	_       [6]uint64 // keep workers off each other's cache line
+	id     int
+	ring   *spsc.Ring[*opBlock]
+	runs   [][]shardEvent // merge heads, reused across blocks
+	local  uint64
+	remote uint64
+	_      [6]uint64 // keep workers off each other's cache line
 }
 
 // Sharded is the region-partitioned engine: the driver (the goroutine
@@ -348,22 +347,17 @@ func (s *Sharded) runCache(w *cacheWorker) {
 		n, open := w.ring.Recv(batch)
 		for _, blk := range batch[:n] {
 			blk.dirDone.Wait()
-			ev := w.scratch[:0]
-			ev = append(ev, blk.accOps[w.id]...)
+			runs := append(w.runs[:0], blk.accOps[w.id])
 			for _, mail := range blk.invals {
-				for _, e := range mail {
-					if int(e.pe)%v == w.id {
-						ev = append(ev, e)
-					}
-				}
+				runs = append(runs, ownEvents(mail, v, w.id))
 			}
-			sort.Slice(ev, func(i, j int) bool {
-				if ev[i].seq != ev[j].seq {
-					return ev[i].seq < ev[j].seq
+			for {
+				i := leastHead(runs)
+				if i < 0 {
+					break
 				}
-				return ev[i].pe < ev[j].pe
-			})
-			for _, e := range ev {
+				e := runs[i][0]
+				runs[i] = ownEvents(runs[i][1:], v, w.id)
 				if e.kind == evInval {
 					if s.caches != nil {
 						s.caches[e.pe].Invalidate(e.addr)
@@ -383,13 +377,44 @@ func (s *Sharded) runCache(w *cacheWorker) {
 					}
 				}
 			}
-			w.scratch = ev[:0]
+			clear(runs)
+			w.runs = runs[:0]
 			blk.release(s)
 		}
 		if !open {
 			return
 		}
 	}
+}
+
+// leastHead returns the index of the run whose first event is least in
+// (seq, pe) order, or -1 when every run is empty: one step of a k-way
+// merge over runs that are each already in (seq, pe) order — the worker's
+// own accesses in record order, and one invalidation mailbox per directory
+// shard, which the shard fills in op order with the ascending-PE sharer
+// walk of each write. There are only W+1 runs, so the heads are scanned
+// linearly.
+func leastHead(runs [][]shardEvent) int {
+	best := -1
+	for i, r := range runs {
+		if len(r) == 0 {
+			continue
+		}
+		if best < 0 || r[0].seq < runs[best][0].seq ||
+			(r[0].seq == runs[best][0].seq && r[0].pe < runs[best][0].pe) {
+			best = i
+		}
+	}
+	return best
+}
+
+// ownEvents drops the leading events of run addressed to other cache
+// workers' PEs (pe % v != id), so the merge head is always this worker's.
+func ownEvents(run []shardEvent, v, id int) []shardEvent {
+	for len(run) > 0 && int(run[0].pe)%v != id {
+		run = run[1:]
+	}
+	return run
 }
 
 // release returns the block to the pool once every worker is done with it,
