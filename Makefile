@@ -33,11 +33,14 @@ fmt-check:
 # The sharded fanout is held to Tee on every kernel (including under
 # GOMAXPROCS=1), and the region-sharded machine engine to the serial
 # memory system (bit-identical statistics and run-to-run determinism,
-# including under GOMAXPROCS=1). The line-table directory and stack
-# profiler are held to the hash-map implementations they replaced, kept as
-# oracles in the tests (internal/coherence and internal/cache oracle_test.go).
+# including under GOMAXPROCS=1); its run-scope counters, staged per
+# reference and published per op block, must total the serial engine's
+# after Close (TestShardedMetricsMatchSerial). The line-table directory
+# and stack profiler are held to the hash-map implementations they
+# replaced, kept as oracles in the tests (internal/coherence and
+# internal/cache oracle_test.go).
 equivalence:
-	$(GO) test -short -run 'TestBlockEquivalence|TestFanoutMatchesTee|TestMetricsEquivalence|TestShardedMachineMatchesSerial|TestShardedDeterminism|TestSamplingEquivalenceRateOne|TestDirectoryMatchesMapOracle|TestStackProfilerMatchesMapOracle' ./internal/core/ ./internal/coherence/ ./internal/cache/
+	$(GO) test -short -run 'TestBlockEquivalence|TestFanoutMatchesTee|TestMetricsEquivalence|TestShardedMachineMatchesSerial|TestShardedMetricsMatchSerial|TestShardedDeterminism|TestSamplingEquivalenceRateOne|TestDirectoryMatchesMapOracle|TestStackProfilerMatchesMapOracle' ./internal/core/ ./internal/coherence/ ./internal/cache/
 
 # Boot the real serving path (store + v1 API exactly as `wsstudy serve`
 # wires it), GET /v1/experiments and a report, assert 200 + valid JSON,

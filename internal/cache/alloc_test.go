@@ -1,6 +1,11 @@
 package cache
 
-import "testing"
+import (
+	"testing"
+
+	"wsstudy/internal/obs"
+	"wsstudy/internal/trace"
+)
 
 // cycleProfiler drives n references over a fixed working set of lines,
 // enough to trigger Fenwick-position compactions when n exceeds the tree
@@ -41,5 +46,34 @@ func BenchmarkStackProfilerSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Access(uint64(i%lines)*8, 8, true)
+	}
+}
+
+// TestInstrumentedRefsAllocateNothing holds the staged counters to the
+// allocation budget of the uninstrumented profiler: with a Recorder
+// attached, a block through Refs — per-reference staging plus the flush
+// at the end of the block — allocates nothing at steady state, and the
+// flushed counter equals the references delivered.
+func TestInstrumentedRefsAllocateNothing(t *testing.T) {
+	p := MustStackProfiler(8)
+	rec := obs.New()
+	p.Instrument(rec)
+	block := make([]trace.Ref, trace.DefaultBlockSize)
+	for i := range block {
+		block[i] = trace.Ref{Addr: uint64(i%300) * 8, Size: 8, Kind: trace.Read}
+	}
+	const warm = 3 * initialFenwickSize / trace.DefaultBlockSize
+	for i := 0; i < warm; i++ {
+		p.Refs(block)
+	}
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, func() { p.Refs(block) })
+	if allocs != 0 {
+		t.Fatalf("instrumented Refs allocated %.1f times per block, want 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up call besides the measured runs.
+	want := uint64((warm + runs + 1) * len(block))
+	if got := rec.Counter(MetricProfilerAccesses).Value(); got != want {
+		t.Fatalf("%s = %d after Refs returned, want %d", MetricProfilerAccesses, got, want)
 	}
 }

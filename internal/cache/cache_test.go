@@ -261,15 +261,62 @@ func TestFenwick(t *testing.T) {
 	if got := f.prefix(16); got != 3 {
 		t.Errorf("prefix(16) = %d, want 3", got)
 	}
-	if got := f.rangeSum(4, 12); got != 2 {
-		t.Errorf("rangeSum(4,12) = %d, want 2", got)
-	}
-	if got := f.rangeSum(8, 3); got != 0 {
-		t.Errorf("inverted range = %d, want 0", got)
+	if got := f.total - f.prefix(3); got != 2 {
+		t.Errorf("total-prefix(3) = %d, want 2", got)
 	}
 	f.add(7, -1)
-	if got := f.rangeSum(1, 16); got != 2 {
-		t.Errorf("after removal = %d, want 2", got)
+	if got := f.total; got != 2 {
+		t.Errorf("total after removal = %d, want 2", got)
+	}
+	if got := f.prefix(16); got != 2 {
+		t.Errorf("prefix(16) after removal = %d, want 2", got)
+	}
+}
+
+// TestFenwickMatchesNaive drives the tree with seeded random add and fill
+// sequences and holds prefix, the running total and the profiler's
+// "positions above i" query (total − prefix(i)) to a plain []int model.
+// Deltas include the profiler's ±1 and larger steps, and fills shrink,
+// grow and reuse storage mid-sequence.
+func TestFenwickMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(200)
+		f := newFenwick(n)
+		naive := make([]int, n+1)
+		for step := 0; step < 400; step++ {
+			if rng.Intn(40) == 0 {
+				n = 1 + rng.Intn(200)
+				k := rng.Intn(n + 1)
+				f.fill(n, k)
+				naive = make([]int, n+1)
+				for i := 1; i <= k; i++ {
+					naive[i] = 1
+				}
+			} else {
+				i := 1 + rng.Intn(n)
+				d := rng.Intn(7) - 3
+				f.add(i, d)
+				naive[i] += d
+			}
+			total := 0
+			for i := 1; i <= n; i++ {
+				total += naive[i]
+			}
+			if f.total != total {
+				t.Fatalf("trial %d step %d: total = %d, want %d", trial, step, f.total, total)
+			}
+			pre := 0
+			for i := 0; i <= n; i++ {
+				pre += naive[i]
+				if got := f.prefix(i); got != pre {
+					t.Fatalf("trial %d step %d: prefix(%d) = %d, want %d", trial, step, i, got, pre)
+				}
+				if got := f.total - f.prefix(i); got != total-pre {
+					t.Fatalf("trial %d step %d: total-prefix(%d) = %d, want %d", trial, step, i, got, total-pre)
+				}
+			}
+		}
 	}
 }
 

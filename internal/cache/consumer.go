@@ -4,75 +4,27 @@ import (
 	"wsstudy/internal/trace"
 )
 
-// Trace-stream adapters: the profiler and the concrete caches consume the
-// kernel reference stream directly, at per-Ref or block granularity, so
-// tools no longer need a trace.Func closure (and its per-reference
-// indirect call) between the stream and the simulator.
+// Trace-stream adapters: the profiler consumes the kernel reference
+// stream directly, at per-Ref or block granularity, so tools need no
+// trace.Func closure (and its per-reference indirect call) between the
+// stream and the simulator.
 
 // Ref feeds one reference to the profiler. The issuing PE is ignored:
 // callers that want a single processor's working set wrap the profiler in
-// a trace.PEFilter, as the paper's per-processor measurements do.
+// a trace.PEFilter, as the paper's per-processor measurements do. Like
+// Refs, it publishes the staged run-scope counters before returning.
 func (p *StackProfiler) Ref(r trace.Ref) {
 	p.Access(r.Addr, r.Size, r.Kind == trace.Read)
+	p.FlushMetrics()
 }
 
-// Refs feeds a block of references to the profiler in order.
+// Refs feeds a block of references to the profiler in order, publishing
+// the staged run-scope counters once at the end of the block.
 func (p *StackProfiler) Refs(block []trace.Ref) {
 	for i := range block {
 		p.Access(block[i].Addr, block[i].Size, block[i].Kind == trace.Read)
 	}
+	p.FlushMetrics()
 }
 
 var _ trace.BlockConsumer = (*StackProfiler)(nil)
-
-// Sink adapts a concrete Cache to the trace stream, splitting each
-// reference into line-aligned accesses. The issuing PE is ignored — a Sink
-// models one processor's cache observing a (usually PE-filtered) stream;
-// multi-processor simulation with coherence belongs to memsys.System.
-type Sink struct {
-	c     Cache
-	shift uint
-}
-
-// NewSink wraps c, whose line size must match lineSize (the Cache
-// interface cannot report it; LRU and SetAssoc expose LineSize() for
-// callers that want to assert). An invalid lineSize returns an error
-// wrapping ErrInvalidConfig.
-func NewSink(c Cache, lineSize uint32) (*Sink, error) {
-	if err := validateLineSize(lineSize); err != nil {
-		return nil, err
-	}
-	return &Sink{c: c, shift: lineShift(lineSize)}, nil
-}
-
-// Ref accesses every line the reference touches.
-func (s *Sink) Ref(r trace.Ref) {
-	if r.Size == 0 {
-		return
-	}
-	s.access(r)
-}
-
-// Refs accesses every line each reference in the block touches, in order.
-func (s *Sink) Refs(block []trace.Ref) {
-	for i := range block {
-		if block[i].Size == 0 {
-			continue
-		}
-		s.access(block[i])
-	}
-}
-
-func (s *Sink) access(r trace.Ref) {
-	read := r.Kind == trace.Read
-	first := r.Addr >> s.shift
-	last := (r.Addr + uint64(r.Size) - 1) >> s.shift
-	for line := first; ; line++ {
-		s.c.Access(line<<s.shift, read)
-		if line == last {
-			break
-		}
-	}
-}
-
-var _ trace.BlockConsumer = (*Sink)(nil)

@@ -27,8 +27,9 @@ type LRU struct {
 
 	stats Stats
 
-	// Run-scope capacity-eviction counter, live only after Instrument.
-	mEvictions *obs.Counter
+	// Run-scope capacity-eviction counter, live only after Instrument;
+	// staged per eviction and published by FlushMetrics.
+	mEvictions obs.Tally
 }
 
 type lruNode struct {

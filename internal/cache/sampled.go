@@ -48,8 +48,18 @@ type Profiler interface {
 	SampledLines() int
 	ErrorBound() float64
 
+	// Touch processes a one-line reference to the line holding addr and
+	// reports whether it was a measured miss at every capacity: true
+	// exactly when it grows ColdMisses+CoherenceMisses, so never while
+	// warming up, and never for a line the sampled profiler skips.
+	Touch(addr uint64, read bool) bool
+
 	// Observability (run-scope counters; nil Recorder is a no-op).
+	// Per-reference counts are staged until FlushMetrics, which Ref and
+	// Refs call at their end; callers driving Access or Touch directly
+	// flush once per block.
 	Instrument(rec *obs.Recorder)
+	FlushMetrics()
 }
 
 var (
@@ -182,43 +192,57 @@ func (p *SampledStackProfiler) Access(addr uint64, size uint32, read bool) {
 		return
 	}
 	p.inner.mAccesses.Inc()
-	first := Line(addr, p.inner.lineSize)
-	last := Line(addr+uint64(size)-1, p.inner.lineSize)
+	first := addr >> p.inner.shift
+	last := (addr + uint64(size) - 1) >> p.inner.shift
 	for line := first; ; line++ {
-		if p.inner.measuring {
-			if read {
-				p.reads++
-			} else {
-				p.writes++
-			}
-		}
-		if p.sampled(line) {
-			p.inner.touch(line, read)
-		}
+		p.touch(line, read)
 		if line == last {
 			break
 		}
 	}
 }
 
-// Ref feeds one reference to the profiler (the issuing PE is ignored, as
-// with StackProfiler).
-func (p *SampledStackProfiler) Ref(r trace.Ref) {
-	p.Access(r.Addr, r.Size, r.Kind == trace.Read)
+// Touch processes a one-line reference to the line holding addr: it
+// counts toward the exact access totals and, when the line is sampled,
+// feeds the inner stack. It reports whether the access was a measured
+// miss of a sampled line at every capacity (see Profiler).
+func (p *SampledStackProfiler) Touch(addr uint64, read bool) bool {
+	p.inner.mAccesses.Inc()
+	return p.touch(addr>>p.inner.shift, read)
 }
 
-// Refs feeds a block of references to the profiler in order.
+func (p *SampledStackProfiler) touch(line uint64, read bool) bool {
+	if p.inner.measuring {
+		if read {
+			p.reads++
+		} else {
+			p.writes++
+		}
+	}
+	return p.sampled(line) && p.inner.touch(line, read)
+}
+
+// Ref feeds one reference to the profiler (the issuing PE is ignored, as
+// with StackProfiler) and publishes the staged run-scope counters.
+func (p *SampledStackProfiler) Ref(r trace.Ref) {
+	p.Access(r.Addr, r.Size, r.Kind == trace.Read)
+	p.FlushMetrics()
+}
+
+// Refs feeds a block of references to the profiler in order, publishing
+// the staged run-scope counters once at the end of the block.
 func (p *SampledStackProfiler) Refs(block []trace.Ref) {
 	for i := range block {
 		p.Access(block[i].Addr, block[i].Size, block[i].Kind == trace.Read)
 	}
+	p.FlushMetrics()
 }
 
 // Invalidate forwards invalidations of sampled lines to the inner
 // profiler; invalidations of unsampled lines cannot affect the sampled
 // stack and are dropped.
 func (p *SampledStackProfiler) Invalidate(addr uint64) {
-	if p.sampled(Line(addr, p.inner.lineSize)) {
+	if p.sampled(addr >> p.inner.shift) {
 		p.inner.Invalidate(addr)
 	}
 }
@@ -305,5 +329,8 @@ func (p *SampledStackProfiler) ErrorBound() float64 {
 func (p *SampledStackProfiler) Instrument(rec *obs.Recorder) {
 	p.inner.Instrument(rec)
 }
+
+// FlushMetrics publishes the accesses staged since the last flush.
+func (p *SampledStackProfiler) FlushMetrics() { p.inner.FlushMetrics() }
 
 var _ trace.BlockConsumer = (*SampledStackProfiler)(nil)

@@ -199,3 +199,73 @@ func TestSampledInvalidate(t *testing.T) {
 		t.Errorf("coherence read misses = %d, want %d (1 sampled invalidation x rate)", r, rate)
 	}
 }
+
+// TestProfilerTouchContract holds Touch to the definition memsys relies on
+// when it classifies misses without re-reading the profiler: Touch reports
+// true exactly when the access grew ColdMisses+CoherenceMisses. The stream
+// mixes reads, writes and invalidations, is long enough to compact the
+// exact profiler's stack, and runs a warm-up window first, so the test sees cold,
+// coherence and capacity misses, hits, unmeasured accesses and — under
+// sampling — lines the profiler skips. Touch must also count as one Access
+// of one line, leaving Reads/Writes identical to Access(addr, 1, read).
+func TestProfilerTouchContract(t *testing.T) {
+	for _, rate := range []int{1, 2, 16} {
+		p, err := NewProfiler(8, rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, _ := NewProfiler(8, rate)
+		missTotal := func(q Profiler) uint64 {
+			cr, cw := q.ColdMisses()
+			hr, hw := q.CoherenceMisses()
+			return cr + cw + hr + hw
+		}
+		rng := rand.New(rand.NewSource(int64(rate)))
+		var warmTrue, measuredTrue, unsampledTouches int
+		for phase, measuring := range []bool{false, true} {
+			p.SetMeasuring(measuring)
+			twin.SetMeasuring(measuring)
+			for i := 0; i < 40000; i++ {
+				addr := uint64(rng.Intn(3000)) * 8
+				if rng.Intn(10) == 0 {
+					p.Invalidate(addr)
+					twin.Invalidate(addr)
+					continue
+				}
+				read := rng.Intn(3) != 0
+				before := missTotal(p)
+				got := p.Touch(addr, read)
+				twin.Access(addr, 1, read)
+				grew := missTotal(p) > before
+				if got != grew {
+					t.Fatalf("rate %d phase %d access %d: Touch = %v, misses grew = %v", rate, phase, i, got, grew)
+				}
+				if got && !measuring {
+					warmTrue++
+				}
+				if got && measuring {
+					measuredTrue++
+				}
+				if s, ok := p.(*SampledStackProfiler); ok && !s.sampled(addr>>3) {
+					unsampledTouches++
+					if got {
+						t.Fatalf("rate %d: Touch reported a miss on unsampled line %d", rate, addr>>3)
+					}
+				}
+			}
+		}
+		if warmTrue != 0 {
+			t.Errorf("rate %d: Touch reported %d misses while warming up", rate, warmTrue)
+		}
+		if measuredTrue == 0 {
+			t.Errorf("rate %d: Touch never reported a measured miss", rate)
+		}
+		if rate > 1 && unsampledTouches == 0 {
+			t.Errorf("rate %d: stream touched no unsampled line", rate)
+		}
+		if p.Reads() != twin.Reads() || p.Writes() != twin.Writes() || missTotal(p) != missTotal(twin) {
+			t.Errorf("rate %d: Touch diverged from Access(addr, 1, read): reads %d/%d writes %d/%d misses %d/%d",
+				rate, p.Reads(), twin.Reads(), p.Writes(), twin.Writes(), missTotal(p), missTotal(twin))
+		}
+	}
+}

@@ -27,8 +27,8 @@ type SetAssoc struct {
 	stats Stats
 
 	// Run-scope capacity/conflict-eviction counter, live only after
-	// Instrument.
-	mEvictions *obs.Counter
+	// Instrument; staged per eviction and published by FlushMetrics.
+	mEvictions obs.Tally
 }
 
 type setWay struct {

@@ -73,7 +73,8 @@ type StackProfiler struct {
 	reads, writes       uint64
 
 	// Run-scope counters, live only after Instrument (see instrument.go).
-	mAccesses *obs.Counter
+	// Accesses are staged per reference and published by FlushMetrics.
+	mAccesses obs.Tally
 	mQueries  *obs.Counter
 }
 
@@ -133,7 +134,19 @@ func (p *StackProfiler) Access(addr uint64, size uint32, read bool) {
 	}
 }
 
-func (p *StackProfiler) touch(line uint64, read bool) {
+// Touch processes a one-line reference to the line holding addr and
+// reports whether it was a measured miss at every capacity (cold or
+// coherence): exactly when it grows ColdMisses+CoherenceMisses. Callers
+// that split references into lines themselves (memsys) use it instead of
+// Access, so they learn the outcome without re-reading the counts.
+func (p *StackProfiler) Touch(addr uint64, read bool) bool {
+	p.mAccesses.Inc()
+	return p.touch(addr>>p.shift, read)
+}
+
+// touch moves line to the top of the stack and reports whether the access
+// was a measured miss at every capacity.
+func (p *StackProfiler) touch(line uint64, read bool) (miss bool) {
 	if p.measuring {
 		if read {
 			p.reads++
@@ -144,8 +157,10 @@ func (p *StackProfiler) touch(line uint64, read bool) {
 	st := p.state.Ptr(line)
 	if pos := int(*st); pos > 0 {
 		// Distance counts every occupied position (lines and holes) from
-		// the line's slot to the top of the stack, inclusive.
-		d := p.fen.rangeSum(pos+1, p.clock) + 1
+		// the line's slot to the top of the stack, inclusive. Positions
+		// above the clock are always empty, so the positions above pos
+		// are the tree's total less its prefix up to pos.
+		d := p.fen.total - p.fen.prefix(pos) + 1
 		if p.measuring {
 			p.recordDistance(d, read)
 		}
@@ -154,6 +169,7 @@ func (p *StackProfiler) touch(line uint64, read bool) {
 		// Miss at every capacity: classify, then fill the shallowest hole
 		// (the free slot every affected cache has).
 		if p.measuring {
+			miss = true
 			if pos < 0 {
 				if read {
 					p.cohRead++
@@ -170,6 +186,7 @@ func (p *StackProfiler) touch(line uint64, read bool) {
 		p.consumeHole()
 	}
 	p.advance(line, st)
+	return miss
 }
 
 // consumeHole removes the most recent (highest-position, shallowest) hole.

@@ -187,12 +187,13 @@ type Directory struct {
 	stats    Stats
 
 	// Run-scope transaction counters keyed by MSI state change, live only
-	// after Instrument; nil handles drop updates in one branch each.
-	mReads       *obs.Counter
-	mWrites      *obs.Counter
-	mInvals      *obs.Counter
-	mInvalWrites *obs.Counter
-	mDowngrades  *obs.Counter
+	// after Instrument. They are staged per transaction and published by
+	// FlushMetrics, which the memsys engines call once per block.
+	mReads       obs.Tally
+	mWrites      obs.Tally
+	mInvals      obs.Tally
+	mInvalWrites obs.Tally
+	mDowngrades  obs.Tally
 }
 
 // Metric names recorded by an instrumented Directory, one per MSI state
@@ -217,15 +218,27 @@ const (
 
 // Instrument attaches run-scope transaction counters from rec. A nil rec
 // leaves the directory uninstrumented (the default, zero-cost mode).
+// Transactions are counted into staged tallies: they reach rec only when
+// the directory's owner calls FlushMetrics.
 func (d *Directory) Instrument(rec *obs.Recorder) {
 	if rec == nil {
 		return
 	}
-	d.mReads = rec.Counter(MetricReads)
-	d.mWrites = rec.Counter(MetricWrites)
-	d.mInvals = rec.Counter(MetricInvalidations)
-	d.mInvalWrites = rec.Counter(MetricInvalidatingWrites)
-	d.mDowngrades = rec.Counter(MetricDowngrades)
+	d.mReads = rec.Tally(MetricReads)
+	d.mWrites = rec.Tally(MetricWrites)
+	d.mInvals = rec.Tally(MetricInvalidations)
+	d.mInvalWrites = rec.Tally(MetricInvalidatingWrites)
+	d.mDowngrades = rec.Tally(MetricDowngrades)
+}
+
+// FlushMetrics publishes the transactions counted since the last flush.
+// It must run on the goroutine applying the transactions.
+func (d *Directory) FlushMetrics() {
+	d.mReads.Flush()
+	d.mWrites.Flush()
+	d.mInvals.Flush()
+	d.mInvalWrites.Flush()
+	d.mDowngrades.Flush()
 }
 
 // NewDirectory builds a directory for numPEs processors whose caches use

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"wsstudy/internal/obs"
 )
 
 // mapDirectory is the hash-map Directory the line table replaced, kept
@@ -283,5 +285,48 @@ func TestDirectoryResidentLinesAllocateNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("resident-line transactions allocated %.1f times per pass, want 0", allocs)
+	}
+}
+
+// TestInstrumentedDirectoryAllocatesNothing extends the allocation pin to
+// an instrumented directory: staging every transaction and publishing the
+// block's counts with FlushMetrics allocates nothing, and after each flush
+// the recorder's counters equal the directory's own statistics.
+func TestInstrumentedDirectoryAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	rec := obs.New()
+	d := MustDirectory(4, 8, make([]Invalidator, 4))
+	d.Instrument(rec)
+	for line := uint64(0); line < 2048; line++ {
+		d.ReadLine(0, line)
+	}
+	d.FlushMetrics()
+	allocs := testing.AllocsPerRun(50, func() {
+		for line := uint64(0); line < 2048; line++ {
+			d.ReadLine(int(line%2), line)
+			d.ReadLine(1, line)
+			d.WriteLine(int(line%2), line)
+		}
+		d.FlushMetrics()
+	})
+	if allocs != 0 {
+		t.Fatalf("instrumented transactions plus flush allocated %.1f times per pass, want 0", allocs)
+	}
+	st, m := d.Stats(), rec.Snapshot()
+	for name, want := range map[string]uint64{
+		MetricReads:              st.ReadRequests,
+		MetricWrites:             st.WriteRequests,
+		MetricInvalidations:      st.Invalidations,
+		MetricInvalidatingWrites: st.InvalidatingWrites,
+		MetricDowngrades:         st.Downgrades,
+	} {
+		if got := m.Counter(name); got != want {
+			t.Errorf("%s = %d after FlushMetrics, directory counted %d", name, got, want)
+		}
+	}
+	if st.Invalidations == 0 || st.Downgrades == 0 {
+		t.Fatalf("stream exercised no invalidation or downgrade: %+v", st)
 	}
 }

@@ -137,8 +137,9 @@ func (sd *ShardedDirectory) ResetStats() {
 }
 
 // Instrument attaches run-scope transaction counters from rec to every
-// shard. The shards share the recorder's atomic counter handles, so the
-// per-name totals equal the serial directory's exactly.
+// shard. Each shard stages its own counts and publishes them into the
+// recorder's shared counters on its FlushMetrics, so once every shard has
+// flushed the per-name totals equal the serial directory's exactly.
 func (sd *ShardedDirectory) Instrument(rec *obs.Recorder) {
 	for _, d := range sd.shards {
 		d.Instrument(rec)

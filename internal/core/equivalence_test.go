@@ -501,3 +501,93 @@ func TestMetricsEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// shardedMetricNames are the run-scope counters the sharded engine's
+// workers stage and publish once per op block: directory transactions,
+// profiler accesses, cache evictions and the miss classification. They
+// feed the benchmark's sim_lines_per_s and the ledger's miss counts.
+var shardedMetricNames = []string{
+	coherence.MetricReads, coherence.MetricWrites, coherence.MetricInvalidations,
+	coherence.MetricInvalidatingWrites, coherence.MetricDowngrades,
+	cache.MetricProfilerAccesses, cache.MetricEvictions,
+	memsys.MetricLocalMisses, memsys.MetricRemoteMisses,
+}
+
+// machineMetrics runs a kernel into an instrumented machine opened with the
+// given shard count (0 = serial engine), closes it, and returns the
+// counters in shardedMetricNames.
+func machineMetrics(t *testing.T, k kernelCase, cfg memsys.Config, shards int) map[string]uint64 {
+	t.Helper()
+	cfg.Shards = shards
+	m, err := memsys.Open(cfg)
+	if err != nil {
+		t.Fatalf("open (shards=%d): %v", shards, err)
+	}
+	rec := obs.New()
+	m.Instrument(rec)
+	k.run(t, m)
+	if err := m.Close(); err != nil {
+		t.Fatalf("close (shards=%d): %v", shards, err)
+	}
+	snap := rec.Snapshot()
+	out := make(map[string]uint64, len(shardedMetricNames))
+	for _, name := range shardedMetricNames {
+		out[name] = snap.Counter(name)
+	}
+	return out
+}
+
+// shardedMetricsVsSerial compares the counters of the serial engine and
+// of the 2-shard engine after Close, under the stack profiler and under
+// small direct-mapped caches (which evict), and requires the counters
+// each configuration must move to be nonzero on the serial engine, so a
+// dead counter cannot pass as a match.
+func shardedMetricsVsSerial(t *testing.T, k kernelCase) {
+	t.Helper()
+	for _, c := range []struct {
+		name    string
+		cfg     memsys.Config
+		nonzero []string
+	}{
+		{"profiler", memsys.Config{PEs: 4, LineSize: 8, Profile: true, ProfilePE: 1, WarmupEpochs: k.warm},
+			[]string{coherence.MetricReads, coherence.MetricWrites, cache.MetricProfilerAccesses}},
+		{"direct-mapped", memsys.Config{PEs: 4, LineSize: 8, CacheCapacity: 64, Assoc: 1, WarmupEpochs: k.warm},
+			[]string{coherence.MetricReads, coherence.MetricWrites, cache.MetricEvictions}},
+	} {
+		serial := machineMetrics(t, k, c.cfg, 0)
+		sharded := machineMetrics(t, k, c.cfg, 2)
+		for _, name := range c.nonzero {
+			if serial[name] == 0 {
+				t.Errorf("%s: counter %q is zero on the serial engine", c.name, name)
+			}
+		}
+		if !reflect.DeepEqual(sharded, serial) {
+			t.Errorf("%s: sharded (W=2) counters diverged from serial after Close\nsharded: %v\nserial:  %v", c.name, sharded, serial)
+		}
+	}
+}
+
+// TestShardedMetricsMatchSerial is the counter face of the sharding
+// invariant: the sharded engine's workers stage their per-reference
+// counters and publish them per op block, and after Close every total
+// must equal the serial engine's, for every kernel and — because a
+// missing flush only shows once a worker's counts are lost — under
+// GOMAXPROCS=1 too.
+func TestShardedMetricsMatchSerial(t *testing.T) {
+	// Sequential subtest first: it pins GOMAXPROCS, and parallel subtests
+	// only start after the sequential ones (and the restore) finish.
+	t.Run("gomaxprocs=1", func(t *testing.T) {
+		old := runtime.GOMAXPROCS(1)
+		defer runtime.GOMAXPROCS(old)
+		for _, k := range equivalenceKernels() {
+			shardedMetricsVsSerial(t, k)
+		}
+	})
+	for _, k := range equivalenceKernels() {
+		k := k
+		t.Run(k.name, func(t *testing.T) {
+			t.Parallel()
+			shardedMetricsVsSerial(t, k)
+		})
+	}
+}

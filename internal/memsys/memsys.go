@@ -102,9 +102,13 @@ type System struct {
 	epoch     int
 	measuring bool
 
-	// Run-scope miss-classification counters, live only after Instrument.
-	mLocal  *obs.Counter
-	mRemote *obs.Counter
+	// Run-scope miss-classification counters, live only after Instrument,
+	// and the per-PE publishers of the units' staged counters (nil until
+	// Instrument, nil entries for PEs without counters). Every counter on
+	// the reference path is staged and published when Ref or Refs returns.
+	mLocal    obs.Tally
+	mRemote   obs.Tally
+	unitFlush []func()
 }
 
 // Instrument attaches run-scope counters from rec to the system and every
@@ -112,21 +116,35 @@ type System struct {
 // counters on the directory, access/query counters on the profilers, and
 // eviction counters on the concrete caches. A nil rec leaves everything
 // uninstrumented; experiments call it unconditionally with obs.From(ctx).
+// Per-reference counts are staged and published at the end of every Ref
+// and Refs call, so a Snapshot taken between blocks is exact.
 func (s *System) Instrument(rec *obs.Recorder) {
 	if rec == nil {
 		return
 	}
-	s.mLocal = rec.Counter(MetricLocalMisses)
-	s.mRemote = rec.Counter(MetricRemoteMisses)
+	s.mLocal = rec.Tally(MetricLocalMisses)
+	s.mRemote = rec.Tally(MetricRemoteMisses)
 	s.dir.Instrument(rec)
-	for _, p := range s.profilers {
+	s.unitFlush = instrumentUnits(rec, s.caches, s.profilers)
+}
+
+// instrumentUnits attaches rec's counters to every cache or profiler and
+// returns, per PE, the function that publishes that unit's staged counts
+// (nil for PEs without a unit or whose unit has no counters). Exactly one
+// of caches and profilers is set. Both engines use it; rec must not be
+// nil.
+func instrumentUnits(rec *obs.Recorder, caches []cache.Cache, profilers []cache.Profiler) []func() {
+	flush := make([]func(), max(len(caches), len(profilers)))
+	for pe, p := range profilers {
 		if p != nil {
 			p.Instrument(rec)
+			flush[pe] = p.FlushMetrics
 		}
 	}
-	for _, c := range s.caches {
-		cache.InstrumentCache(c, rec)
+	for pe, c := range caches {
+		flush[pe] = cache.InstrumentCache(c, rec)
 	}
+	return flush
 }
 
 // normalize validates cfg and fills defaults; New and Open share it so the
@@ -230,24 +248,17 @@ func homeOf(cfg *Config, shift uint, addr uint64) int {
 
 // accessPE touches one line in pe's cache or profiler and reports whether
 // it (certainly) missed; both engines classify misses through it. Profiled
-// PEs report misses only in the infinite-cache sense (cold or coherence),
-// since per-size misses are resolved after the fact. A PE with no unit
-// attached never misses.
+// PEs report misses only in the infinite-cache sense (cold or coherence,
+// and only while measuring), since per-size misses are resolved after the
+// fact. A PE with no unit attached never misses.
 func accessPE(caches []cache.Cache, profilers []cache.Profiler, pe int, addr uint64, read bool) bool {
 	if caches != nil {
 		return caches[pe].Access(addr, read).Miss()
 	}
-	p := profilers[pe]
-	if p == nil {
-		return false
+	if p := profilers[pe]; p != nil {
+		return p.Touch(addr, read)
 	}
-	coldR, coldW := p.ColdMisses()
-	cohR, cohW := p.CoherenceMisses()
-	before := coldR + coldW + cohR + cohW
-	p.Access(addr, 1, read)
-	coldR, coldW = p.ColdMisses()
-	cohR, cohW = p.CoherenceMisses()
-	return coldR+coldW+cohR+cohW > before
+	return false
 }
 
 // New builds a serial System from cfg. All configuration errors wrap
@@ -289,12 +300,18 @@ func (s *System) Home(addr uint64) int {
 
 // Ref consumes one reference: the issuing PE's cache is accessed line by
 // line, the directory sees the transaction, and misses are classified
-// local or remote by home node.
+// local or remote by home node. The counters the reference moved are
+// published before Ref returns (invalidations count on the directory, not
+// on the invalidated units).
 func (s *System) Ref(r trace.Ref) {
 	if r.Size == 0 {
 		return
 	}
 	s.refOne(r)
+	s.flushShared()
+	if s.unitFlush != nil && s.unitFlush[r.PE] != nil {
+		s.unitFlush[r.PE]()
+	}
 }
 
 // Refs consumes a block of references in emission order. Each reference is
@@ -303,6 +320,9 @@ func (s *System) Ref(r trace.Ref) {
 // to the end of a block would reorder invalidations relative to accesses
 // and change every coherence statistic. The win is the hoisted dispatch
 // and per-call prologue, not a changed algorithm.
+//
+// The staged run-scope counters are published once, at the end of the
+// block.
 func (s *System) Refs(block []trace.Ref) {
 	for i := range block {
 		if block[i].Size == 0 {
@@ -310,6 +330,20 @@ func (s *System) Refs(block []trace.Ref) {
 		}
 		s.refOne(block[i])
 	}
+	s.flushShared()
+	for _, f := range s.unitFlush {
+		if f != nil {
+			f()
+		}
+	}
+}
+
+// flushShared publishes the staged counters of the system itself and of
+// its directory.
+func (s *System) flushShared() {
+	s.mLocal.Flush()
+	s.mRemote.Flush()
+	s.dir.FlushMetrics()
 }
 
 func (s *System) refOne(r trace.Ref) {

@@ -148,9 +148,10 @@ type cacheWorker struct {
 	id     int
 	ring   *spsc.Ring[*opBlock]
 	runs   [][]shardEvent // merge heads, reused across blocks
+	flush  []func()       // owned units' staged-counter publishers; set by Instrument
 	local  uint64
 	remote uint64
-	_      [6]uint64 // keep workers off each other's cache line
+	_      [3]uint64 // keep workers off each other's cache line
 }
 
 // Sharded is the region-partitioned engine: the driver (the goroutine
@@ -325,6 +326,7 @@ func (s *Sharded) runDir(w *dirWorker) {
 					shard.WriteLine(int(op.pe), op.line)
 				}
 			}
+			shard.FlushMetrics()
 			s.mInvals.Add(uint64(len(blk.invals[w.id])))
 			w.cur = nil
 			blk.dirDone.Done()
@@ -338,7 +340,8 @@ func (s *Sharded) runDir(w *dirWorker) {
 
 // runCache is phase two: once a block's directory phase is complete, merge
 // this worker's accesses with the invalidations addressed to its PEs in
-// (seq, pe) order and apply them to the caches/profilers it owns.
+// (seq, pe) order and apply them to the caches/profilers it owns, then
+// publish the block's miss classification and the units' staged counters.
 func (s *Sharded) runCache(w *cacheWorker) {
 	defer s.wg.Done()
 	batch := make([]*opBlock, w.ring.Cap())
@@ -347,6 +350,7 @@ func (s *Sharded) runCache(w *cacheWorker) {
 		n, open := w.ring.Recv(batch)
 		for _, blk := range batch[:n] {
 			blk.dirDone.Wait()
+			var local, remote uint64
 			runs := append(w.runs[:0], blk.accOps[w.id])
 			for _, mail := range blk.invals {
 				runs = append(runs, ownEvents(mail, v, w.id))
@@ -369,13 +373,22 @@ func (s *Sharded) runCache(w *cacheWorker) {
 				miss := accessPE(s.caches, s.profilers, int(e.pe), e.addr, e.kind == evRead)
 				if miss && blk.measuring {
 					if homeOf(&s.cfg, s.shift, e.addr) == int(e.pe) {
-						w.local++
-						s.mLocal.Inc()
+						local++
 					} else {
-						w.remote++
-						s.mRemote.Inc()
+						remote++
 					}
 				}
+			}
+			w.local += local
+			w.remote += remote
+			if local != 0 {
+				s.mLocal.Add(local)
+			}
+			if remote != 0 {
+				s.mRemote.Add(remote)
+			}
+			for _, f := range w.flush {
+				f()
 			}
 			clear(runs)
 			w.runs = runs[:0]
@@ -577,7 +590,9 @@ func (s *Sharded) BeginEpoch(n int) {
 // Instrument attaches run-scope counters from rec to the engine, its
 // directory shards, and every cache/profiler. It also rebinds the
 // failpoint-injection context so fault-trigger counters land on rec. Call
-// it before feeding references, from the driver goroutine.
+// it before feeding references, from the driver goroutine. Every worker
+// publishes its counts once per op block, so the counters are exact after
+// any drain barrier (statistics reads, epoch flips, Close).
 func (s *Sharded) Instrument(rec *obs.Recorder) {
 	if rec == nil {
 		return
@@ -593,13 +608,12 @@ func (s *Sharded) Instrument(rec *obs.Recorder) {
 	s.mBarriers = rec.Counter(MetricBarriers)
 	s.mQueueDepth = rec.Gauge(MetricShardQueueDepth)
 	s.dir.Instrument(rec)
-	for _, p := range s.profilers {
-		if p != nil {
-			p.Instrument(rec)
+	v := len(s.cacheWorkers)
+	for pe, f := range instrumentUnits(rec, s.caches, s.profilers) {
+		if f != nil {
+			cw := s.cacheWorkers[pe%v]
+			cw.flush = append(cw.flush, f)
 		}
-	}
-	for _, c := range s.caches {
-		cache.InstrumentCache(c, rec)
 	}
 }
 

@@ -2,9 +2,20 @@
 // gauges, and duration histograms collected by a Recorder that rides the
 // run's context.Context. The package is zero-dependency (stdlib only) and
 // every handle is nil-safe: instrumented code asks the Recorder for a
-// *Counter once at setup and increments it unconditionally — when no
-// Recorder is attached the handle is nil and the increment is a single
-// predictable branch, keeping instrumentation off the hot path.
+// handle once at setup and updates it unconditionally — when no Recorder
+// is attached the handle is nil and the update is a single predictable
+// branch.
+//
+// With a Recorder attached, which is how the CLI, the server and the
+// benchmark always run, a Counter update is a locked atomic add, and a
+// locked add per simulated reference is not free: it drains the store
+// buffer, so the simulator's own cache misses stop overlapping, and
+// concurrent shard workers bounce the counter's cache line between cores.
+// Per-reference events therefore count into a Tally, a plain staged count
+// its owner flushes once per block of references. The engines flush at
+// every block boundary, so counters are exact whenever a block has been
+// consumed (and at Close), and a progress reporter's Snapshot lags the
+// simulation by at most one block.
 //
 // Recorders form a two-level tree. A suite run owns one root Recorder;
 // Execute gives each experiment a child (NewChild) so concurrent workers
@@ -46,6 +57,28 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v.Load()
+}
+
+// Tally stages increments of one Counter in a plain, unsynchronized count
+// and publishes them with a single atomic add on Flush; hot paths count
+// per event and flush once per block of events (see the package comment).
+// A Tally belongs to one goroutine; the Counter it feeds stays safe for
+// concurrent readers, which see every count published by the last Flush.
+// The zero Tally, and one over a nil Counter, counts and drops on Flush.
+type Tally struct {
+	n uint64
+	c *Counter
+}
+
+// Inc stages one event.
+func (t *Tally) Inc() { t.n++ }
+
+// Flush publishes the staged count to the Counter and restarts staging.
+func (t *Tally) Flush() {
+	if t.n != 0 {
+		t.c.Add(t.n)
+		t.n = 0
+	}
 }
 
 // Gauge is an instantaneous int64 level (e.g. busy workers) that also
@@ -214,6 +247,12 @@ func (r *Recorder) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.counterLocked(name)
+}
+
+// Tally returns a staging handle over the named counter (see Tally); a nil
+// receiver yields a Tally that drops what it stages.
+func (r *Recorder) Tally(name string) Tally {
+	return Tally{c: r.Counter(name)}
 }
 
 func (r *Recorder) counterLocked(name string) *Counter {

@@ -273,3 +273,72 @@ func TestProgress(t *testing.T) {
 type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestTallyStagesUntilFlush pins the staging contract: increments are
+// invisible to the Counter until Flush, Flush publishes them exactly once,
+// and staging restarts from zero after each flush.
+func TestTallyStagesUntilFlush(t *testing.T) {
+	rec := New()
+	tl := rec.Tally("x")
+	for i := 0; i < 5; i++ {
+		tl.Inc()
+	}
+	if got := rec.Counter("x").Value(); got != 0 {
+		t.Fatalf("counter before Flush = %d, want 0 (increments are staged)", got)
+	}
+	tl.Flush()
+	if got := rec.Counter("x").Value(); got != 5 {
+		t.Fatalf("counter after Flush = %d, want 5", got)
+	}
+	tl.Flush()
+	if got := rec.Counter("x").Value(); got != 5 {
+		t.Fatalf("second Flush with nothing staged moved the counter to %d", got)
+	}
+	tl.Inc()
+	tl.Inc()
+	tl.Flush()
+	if got := rec.Snapshot().Counter("x"); got != 7 {
+		t.Fatalf("snapshot after second batch = %d, want 7", got)
+	}
+}
+
+// TestTallyNilCounter holds the disabled mode: the zero Tally and one from
+// a nil Recorder stage and drop on Flush, and a flush restarts staging so
+// nothing accumulates across blocks.
+func TestTallyNilCounter(t *testing.T) {
+	var r *Recorder
+	for _, tl := range []Tally{{}, r.Tally("x")} {
+		tl.Inc()
+		tl.Inc()
+		tl.Flush()
+		if tl.n != 0 {
+			t.Fatalf("Flush over a nil Counter left %d staged", tl.n)
+		}
+	}
+}
+
+// TestTallySharedCounter holds the per-owner sharing pattern the sharded
+// engine uses: several goroutines each own a Tally over the same Counter,
+// and the Counter's total after every flush is the sum of all increments.
+func TestTallySharedCounter(t *testing.T) {
+	rec := New()
+	const owners, blocks, perBlock = 4, 50, 100
+	var wg sync.WaitGroup
+	for o := 0; o < owners; o++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tl := rec.Tally("shared")
+			for b := 0; b < blocks; b++ {
+				for i := 0; i < perBlock; i++ {
+					tl.Inc()
+				}
+				tl.Flush()
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := rec.Counter("shared").Value(), uint64(owners*blocks*perBlock); got != want {
+		t.Fatalf("shared counter = %d, want %d", got, want)
+	}
+}
